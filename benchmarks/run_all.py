@@ -45,7 +45,8 @@ BENCHMARKS = [
         bench_partitioner,
         "BENCH_partitioner.json",
         lambda r: (
-            f"partitioner speedup {r['acceptance']['speedup']:.1f}x "
+            f"partitioner speedup {r['acceptance']['speedup']:.1f}x, "
+            f"native {r['acceptance'].get('native_speedup', float('nan')):.1f}x "
             f"(quality max ratio {r['quality_suite']['max_ratio']:.3f})"
         ),
     ),

@@ -40,7 +40,8 @@ on the shared-memory parallel executor instead (``0`` = one worker per
 core); the answer is bit-identical and the bytes actually moved
 through the shared buffers are reconciled against the machine-model
 ledger.  ``--backend {auto,numpy,native}`` (on ``solve`` and ``table``)
-selects the numeric kernels; ``native-info`` reports whether the
+selects the numeric kernels, including the partitioner's loops; left
+out, ``REPRO_NATIVE`` decides (``0`` = numpy, else auto).  ``native-info`` reports whether the
 native C kernel backend is available and where its build cache lives.
 
 ``campaign`` is the crash-safe way to run a table-scale grid: every
@@ -172,9 +173,10 @@ def main(argv: list[str] | None = None) -> int:
         "same table is pure cache reads",
     )
     p_table.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
-        help="numeric kernel backend for any compiled applies "
-        "(auto = native where a C compiler is available)",
+        "--backend", choices=BACKENDS, default=None,
+        help="numeric kernel backend for the partitioner loops and any "
+        "compiled applies (auto = native where a C compiler is "
+        "available; default: $REPRO_NATIVE, else auto)",
     )
     _add_trace_args(p_table)
 
@@ -247,10 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         "executor's y is bit-identical to the compiled path)",
     )
     p_solve.add_argument(
-        "--backend", choices=BACKENDS, default="auto",
+        "--backend", choices=BACKENDS, default=None,
         help="numeric kernel backend: numpy, native (fused C loops; "
         "errors if no C compiler), or auto (native where available, "
-        "bit-identical either way)",
+        "bit-identical either way; default: $REPRO_NATIVE, else auto)",
     )
     _add_trace_args(p_solve)
 

@@ -10,8 +10,10 @@ product ``Bᵀ·(W·B)`` of the net–vertex incidence (one batched pass,
 replacing the seed code's per-vertex pin scan); the greedy matching
 itself then walks the random visitation order selecting each vertex's
 best unmatched neighbour from the precomputed CSR row — a handful of
-vectorized operations per vertex instead of nested pin loops.
-Contraction is fully vectorized: one composite-key sort deduplicates
+vectorized operations per vertex instead of nested pin loops (or one C
+loop, :func:`repro.native.partition.hcm_match`, when the default
+backend resolves to native; the visitation order is drawn here either
+way, so the RNG stream is the same).  Contraction is fully vectorized: one composite-key sort deduplicates
 pins within nets, and identical coarse nets are merged through a
 hash-bucket pass with exact pin-array verification.
 """
@@ -23,6 +25,8 @@ import scipy.sparse as sp
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
+from repro.native import partition as native_partition
+from repro.native.partition import partition_kernels
 
 __all__ = ["coarsen_once"]
 
@@ -63,7 +67,12 @@ def coarsen_once(
     n = hg.nvertices
     mate = np.full(n, -1, dtype=np.int64)
     scores = _pair_scores(hg, max_net_size)
-    if scores is not None:
+    lib = partition_kernels() if scores is not None else None
+    if lib is not None:
+        native_partition.hcm_match(
+            lib, rng.permutation(n), scores.indptr, scores.indices, scores.data, mate
+        )
+    elif scores is not None:
         indptr, indices, data = scores.indptr, scores.indices, scores.data
         for v in rng.permutation(n):
             if mate[v] != -1:

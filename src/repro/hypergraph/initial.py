@@ -27,6 +27,8 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_ranges
+from repro.native import partition as native_partition
+from repro.native.partition import partition_kernels
 
 __all__ = ["random_bisection", "greedy_growing"]
 
@@ -42,8 +44,13 @@ def random_bisection(
     """Fill part 0 with randomly ordered vertices up to its target weight."""
     t0 = np.asarray(targets[0], dtype=np.float64)
     part = np.ones(hg.nvertices, dtype=np.int8)
+    order = rng.permutation(hg.nvertices)
+    lib = partition_kernels()
+    if lib is not None:
+        native_partition.random_fill(lib, order, hg.vweights, t0, part)
+        return part
     pw0 = np.zeros(hg.nconstraints, dtype=np.int64)
-    for v in rng.permutation(hg.nvertices):
+    for v in order:
         w = hg.vweights[v]
         if _fits(pw0, w, t0):
             part[v] = 0
@@ -60,7 +67,6 @@ def greedy_growing(
         return np.ones(0, dtype=np.int8)
     t0 = np.asarray(targets[0], dtype=np.float64)
     part = np.ones(n, dtype=np.int8)
-    pw0 = np.zeros(hg.nconstraints, dtype=np.float64)
     vw = hg.vweights
 
     xpins, pins = hg.xpins, hg.pins
@@ -71,7 +77,17 @@ def greedy_growing(
     np.divide(
         hg.ncosts, sizes - 1, out=contrib, where=valid
     )
+    seed_order = rng.permutation(n)
+    lib = partition_kernels()
+    if lib is not None:
+        native_partition.greedy_grow(
+            lib, order=seed_order, xpins=xpins, pins=pins, xnets=xnets,
+            nets=nets, valid=valid, contrib=contrib, vweights=vw, t0=t0,
+            part=part,
+        )
+        return part
 
+    pw0 = np.zeros(hg.nconstraints, dtype=np.float64)
     gain = np.zeros(n, dtype=np.float64)
     absorbed = np.zeros(n, dtype=bool)
     retired = np.zeros(n, dtype=bool)
@@ -81,7 +97,6 @@ def greedy_growing(
     # break on the lower vertex id, which keeps the grown region
     # compact on regular instances.
     heap: list[tuple[float, int]] = []
-    seed_order = rng.permutation(n)
     seed_ptr = 0
 
     while True:

@@ -18,7 +18,9 @@ limit.  Passes repeat until no move is applied.  The per-destination
 gains of one vertex are evaluated as two small matrix products over the
 ``(incident nets × parts)`` pin-count slab, replacing the seed code's
 nested Python loops; a move can therefore never increase the
-connectivity-1 cost (only strictly positive gains are applied).
+connectivity-1 cost (only strictly positive gains are applied).  When
+the default backend resolves to native the pass loop runs in C
+(:func:`repro.native.partition.kway_polish`) with the same moves.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.hypergraph.refine import _context
+from repro.native import partition as native_partition
+from repro.native.partition import partition_kernels
 
 __all__ = ["kway_greedy_refine"]
 
@@ -56,6 +60,15 @@ def kway_greedy_refine(
     vipt, vnets = ctx.vnets_indptr, ctx.vnets
     ncosts = hg.ncosts
     wfloat = hg.vweights.astype(np.float64)
+
+    lib = partition_kernels()
+    if lib is not None:
+        native_partition.kway_polish(
+            lib, xnets=xnets, nets=nets, vipt=vipt, vnets=vnets, ncosts=ncosts,
+            weights=wfloat, limit=limit, part=part, pc=pc, pw=pw,
+            max_passes=max_passes,
+        )
+        return part
 
     for _ in range(max_passes):
         # Boundary vertices: touch a net spanning >= 2 parts.

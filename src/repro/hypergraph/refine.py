@@ -28,6 +28,10 @@ Implementation notes (the vectorized core):
   the same hypergraph (and by the K-way polish).
 - A pass whose best prefix shows no positive gain ends the refinement
   early (``max_passes`` is an upper bound, not a fixed trip count).
+- The pass loop also exists in C (:func:`repro.native.partition.fm_passes`),
+  which runs when the default backend resolves to native and makes the
+  same moves; the set-up (:class:`_FMState`) is shared, and the NumPy
+  loop (:func:`_fm_python`) is the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ import numpy as np
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernels import concat_spans as _ranges
+from repro.native import partition as native_partition
+from repro.native.partition import partition_kernels
 
 __all__ = ["fm_refine", "bisection_cut", "part_weights"]
 
@@ -130,31 +136,85 @@ def fm_refine(
 ) -> tuple[np.ndarray, int]:
     """Refine a bisection in place-semantics (a refined copy is returned).
 
-    Returns ``(part, cut)`` with the final cut-net cost.
+    Returns ``(part, cut)`` with the final cut-net cost.  The pass loop
+    runs in C when the default backend resolves to native
+    (:mod:`repro.native.partition`), else in NumPy; both make the same
+    moves.
     """
     part = np.asarray(part, dtype=np.int8).copy()
-    n = hg.nvertices
-    if n == 0 or hg.nnets == 0:
+    if hg.nvertices == 0 or hg.nnets == 0:
         return part, 0
+    # The C loop assumes at least one balance constraint.
+    lib = partition_kernels() if hg.nconstraints else None
+    if lib is not None:
+        st = _FMState(hg, part.copy(), targets, epsilon)
+        ctx = _context(hg)
+        cut = native_partition.fm_passes(
+            lib, xpins=hg.xpins, pins=hg.pins, ncosts=hg.ncosts,
+            xnets=hg.xnets, nets=hg.nets, vipt=ctx.vnets_indptr, vnets=ctx.vnets,
+            gain_bound=ctx.gain_bound, weights=st.wfloat,
+            inv_limits=st.inv_limits, zero_limit=~st.limit_pos,
+            part=st.part, pc=st.pc, gain=st.gain, pw=st.pw, cut=st.cut,
+            max_passes=max_passes, stall_fraction=_STALL_FRACTION,
+        )
+        if cut is not None:
+            return st.part, cut
+    return _fm_python(hg, _FMState(hg, part, targets, epsilon), max_passes)
 
+
+class _FMState:
+    """FM's starting state: pin counts per net and side, cut, part
+    weights and the exact gain of every vertex — built in NumPy for
+    both loop backends."""
+
+    def __init__(self, hg: Hypergraph, part: np.ndarray, targets, epsilon: float):
+        ctx = _context(hg)
+        self.part = part
+        limits = np.stack(
+            [
+                np.asarray(targets[0], dtype=np.float64) * (1.0 + epsilon),
+                np.asarray(targets[1], dtype=np.float64) * (1.0 + epsilon),
+            ]
+        )
+        # Fast violation evaluation: precompute reciprocal limits once;
+        # the zero-limit convention matches :func:`_violation`.
+        self.limit_pos = limits > 0
+        self.inv_limits = np.zeros_like(limits)
+        np.divide(1.0, limits, out=self.inv_limits, where=self.limit_pos)
+
+        # Pin counts per net per side, cut, part weights.
+        ncosts, vert_of_pin = hg.ncosts, hg.vert_of_pin
+        pc = np.zeros((hg.nnets, 2), dtype=np.int64)
+        np.add.at(pc, (hg.net_of_pin, part[hg.pins].astype(np.int64)), 1)
+        self.pc = pc
+        self.cut = int(ncosts[(pc[:, 0] > 0) & (pc[:, 1] > 0)].sum())
+        self.pw = part_weights(hg, part).astype(np.float64)
+        self.wfloat = hg.vweights.astype(np.float64)
+
+        # Exact gains for every vertex, computed once and maintained
+        # incrementally by the loop (forward moves and rollbacks alike).
+        gain = np.zeros(hg.nvertices, dtype=np.int64)
+        pv = part[vert_of_pin].astype(np.int64)
+        ee = hg.nets
+        vm = ctx.valid[ee]
+        ub = vm & (pc[ee, pv] == 1)
+        cp = vm & (pc[ee, 1 - pv] == 0)
+        np.add.at(gain, vert_of_pin[ub], ncosts[ee[ub]])
+        np.subtract.at(gain, vert_of_pin[cp], ncosts[ee[cp]])
+        self.gain = gain
+
+
+def _fm_python(hg: Hypergraph, st: _FMState, max_passes: int) -> tuple[np.ndarray, int]:
+    """FM's pass loop in NumPy: the fallback and the differential oracle
+    of the C loop."""
+    n = hg.nvertices
     ctx = _context(hg)
     xpins, pins, ncosts = hg.xpins, hg.pins, hg.ncosts
-    valid = ctx.valid
     vipt, vnets = ctx.vnets_indptr, ctx.vnets
-    net_of_pin = hg.net_of_pin
     vert_of_pin = hg.vert_of_pin
-
-    limits = np.stack(
-        [
-            np.asarray(targets[0], dtype=np.float64) * (1.0 + epsilon),
-            np.asarray(targets[1], dtype=np.float64) * (1.0 + epsilon),
-        ]
-    )
-    # Fast violation evaluation: precompute reciprocal limits once; the
-    # zero-limit convention matches :func:`_violation`.
-    limit_pos = limits > 0
-    inv_limits = np.zeros_like(limits)
-    np.divide(1.0, limits, out=inv_limits, where=limit_pos)
+    part, pc, gain, pw, cut = st.part, st.pc, st.gain, st.pw, st.cut
+    inv_limits, limit_pos = st.inv_limits, st.limit_pos
+    wfloat = st.wfloat
     has_zero_limit = bool(np.any(~limit_pos))
 
     def _viol(pw: np.ndarray) -> float:
@@ -164,24 +224,6 @@ def fm_refine(
                 return float("inf")
             rel = max(rel, 1.0)
         return rel
-
-    # Pin counts per net per side, cut, part weights.
-    pc = np.zeros((hg.nnets, 2), dtype=np.int64)
-    np.add.at(pc, (net_of_pin, part[pins].astype(np.int64)), 1)
-    cut = int(ncosts[(pc[:, 0] > 0) & (pc[:, 1] > 0)].sum())
-    pw = part_weights(hg, part).astype(np.float64)
-    wfloat = hg.vweights.astype(np.float64)
-
-    # Exact gains for every vertex, computed once and maintained
-    # incrementally by _apply (forward moves and rollbacks alike).
-    gain = np.zeros(n, dtype=np.int64)
-    pv = part[vert_of_pin].astype(np.int64)
-    ee = hg.nets
-    vm = valid[ee]
-    ub = vm & (pc[ee, pv] == 1)
-    cp = vm & (pc[ee, 1 - pv] == 0)
-    np.add.at(gain, vert_of_pin[ub], ncosts[ee[ub]])
-    np.subtract.at(gain, vert_of_pin[cp], ncosts[ee[cp]])
 
     gmax = ctx.gain_bound
     nbuckets = 2 * gmax + 1

@@ -23,6 +23,11 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 The C accumulations iterate in index order, so every sum reproduces
 ``np.bincount``/``np.add.at`` element order bit for bit — the golden
 y/ledger/flops pins hold unchanged under the native backend.
+
+The same library also carries the multilevel partitioner's hot loops
+(``partition.c``, wrapped by :mod:`repro.native.partition`): FM passes,
+the K-way polish, HCM matching and the initial bisections, each making
+the same moves as its NumPy loop.
 """
 
 from repro.native import ops

@@ -2,15 +2,17 @@
 
 The reproduction environment has no network and no numba/Cython, but it
 does ship a C compiler — so the native backend compiles its own tiny
-kernel library (``kernels.c``) on first use with the host ``cc`` into a
+kernel library on first use with the host ``cc`` into a
 content-hash-named shared object under a build cache directory, and
-loads it via :mod:`ctypes`.
+loads it via :mod:`ctypes`.  One library holds both C sources: the
+SpMV kernels (``kernels.c``) and the partitioner's hot loops
+(``partition.c``), so a single build and load serves every consumer.
 
 Cache key anatomy (the ``.so`` file name)::
 
-    kernels-<sha256(source ‖ cflags ‖ platform ‖ compiler path ‖ abi)[:16]>.so
+    kernels-<sha256(sources ‖ cflags ‖ platform ‖ compiler path ‖ abi)[:16]>.so
 
-Any change to the C source, the flags, the interpreter's platform or
+Any change to either C source, the flags, the interpreter's platform or
 the compiler selection produces a new name, so stale libraries are
 never picked up; unused old entries are harmless files in the cache.
 The cache directory is ``$REPRO_NATIVE_CACHE`` when set, else
@@ -96,7 +98,7 @@ SANITIZE_ENV = "REPRO_NATIVE_SANITIZE"
 DEBUG_ENV = "REPRO_NATIVE_DEBUG"
 BACKENDS = ("auto", "numpy", "native")
 
-ABI_VERSION = 1
+ABI_VERSION = 2
 CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
 # The sanitizer variant keeps -ffp-contract=off and the same loop code,
 # so its outputs stay bit-identical; -O1 keeps ASan shadow checks fast
@@ -108,17 +110,32 @@ SANITIZE_CFLAGS = (
 _VARIANT_CFLAGS = {"std": CFLAGS, "sanitize": SANITIZE_CFLAGS}
 _ASAN_OPTIONS = "verify_asan_link_order=0:detect_leaks=0"
 
-_SOURCE = Path(__file__).with_name("kernels.c")
+_SOURCES = tuple(Path(__file__).with_name(f) for f in ("kernels.c", "partition.c"))
 
 _F64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _I64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_I8 = ndpointer(dtype=np.int8, flags="C_CONTIGUOUS")
+_U8 = ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_N = ctypes.c_int64
+# name -> (restype, argtypes); the partitioner loops return a status.
 _SIGNATURES = {
-    "repro_gather_mul_scatter": [ctypes.c_int64, _F64, _I64, _F64, _I64, _F64],
-    "repro_scatter_add": [ctypes.c_int64, _I64, _F64, _F64],
-    "repro_gather_mul_scatter_many": [
-        ctypes.c_int64, ctypes.c_int64, _F64, _I64, _F64, _I64, _F64,
-    ],
-    "repro_scatter_add_many": [ctypes.c_int64, ctypes.c_int64, _I64, _F64, _F64],
+    "repro_gather_mul_scatter": (None, [_N, _F64, _I64, _F64, _I64, _F64]),
+    "repro_scatter_add": (None, [_N, _I64, _F64, _F64]),
+    "repro_gather_mul_scatter_many": (None, [_N, _N, _F64, _I64, _F64, _I64, _F64]),
+    "repro_scatter_add_many": (None, [_N, _N, _I64, _F64, _F64]),
+    "repro_fm_passes": (_N, [
+        _N, _N, _N, _N, _N, _N, _I64, _I64, _I64, _I64, _I64, _I64, _I64,
+        _F64, _F64, _U8, _I8, _I64, _I64, _F64, _I64,
+    ]),
+    "repro_kway_polish": (_N, [
+        _N, _N, _N, _N, _N, _I64, _I64, _I64, _I64, _I64, _F64, _F64,
+        _I64, _I64, _F64,
+    ]),
+    "repro_hcm_match": (None, [_N, _I64, _I64, _I64, _F64, _I64]),
+    "repro_random_fill": (_N, [_N, _N, _I64, _I64, _F64, _I8]),
+    "repro_greedy_grow": (_N, [
+        _N, _N, _I64, _I64, _I64, _I64, _I64, _U8, _F64, _I64, _F64, _I8,
+    ]),
 }
 
 
@@ -128,8 +145,9 @@ class KernelLib:
     ``gather_mul_scatter(n, vals, cols, x, idx, acc)`` and friends are
     raw ctypes functions — callers pass C-contiguous float64/int64
     arrays (enforced by the ``ndpointer`` signatures) and own all
-    allocation; see :mod:`repro.native.ops` for the array-level
-    wrappers the runtime actually uses.
+    allocation; see :mod:`repro.native.ops` and
+    :mod:`repro.native.partition` for the array-level wrappers the
+    runtime and the partitioner actually use.
     """
 
     def __init__(self, path: Path):
@@ -143,10 +161,10 @@ class KernelLib:
             raise NativeBuildError(
                 f"cached kernel library {path} has ABI {got}, expected {ABI_VERSION}"
             )
-        for name, argtypes in _SIGNATURES.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(dll, name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = restype
             setattr(self, name.removeprefix("repro_"), fn)
         self._dll = dll
 
@@ -176,7 +194,8 @@ def cache_dir() -> Path:
 
 def _build_key(compiler: str, cflags: tuple = CFLAGS) -> str:
     h = hashlib.sha256()
-    h.update(_SOURCE.read_bytes())
+    for src in _SOURCES:
+        h.update(src.read_bytes())
     h.update(" ".join(cflags).encode())
     h.update(sys.platform.encode())
     h.update(compiler.encode())
@@ -188,7 +207,7 @@ def _compile(compiler: str, out: Path, cflags: tuple = CFLAGS) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.stem, suffix=".so.tmp")
     os.close(fd)
-    cmd = [compiler, *cflags, "-o", tmp, str(_SOURCE)]
+    cmd = [compiler, *cflags, "-o", tmp, *map(str, _SOURCES)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     except (OSError, subprocess.TimeoutExpired) as exc:

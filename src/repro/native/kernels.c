@@ -26,7 +26,7 @@
 
 /* Bumped whenever an exported signature changes; the loader refuses a
  * cached .so whose ABI does not match (stale-cache guard). */
-EXPORT int64_t repro_native_abi(void) { return 1; }
+EXPORT int64_t repro_native_abi(void) { return 2; }
 
 /* acc[idx[i]] += vals[i] * x[cols[i]]  — the fused expand/compute
  * inner loop: gather x, multiply by the nonzero value, scatter-add

@@ -259,9 +259,24 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+#: ``(indexed_call, items)`` of the running pool map, published before
+#: the pool forks so workers inherit it; only positions cross the pipe.
+_inherited: tuple | None = None
+
+
+def _call_inherited(pos: int):
+    indexed_call, items = _inherited
+    return indexed_call(items[pos])
+
+
 def _pool_map(indexed_call, jobs: int, items: list):
     """Order-restoring parallel map: ``items`` are ``(index, …)``
-    tuples, dispatched as given, reassembled by index."""
+    tuples, dispatched as given, reassembled by index.
+
+    Forked workers inherit ``indexed_call`` and ``items`` instead of
+    receiving them pickled, so any callable works (lambdas and closures
+    included); only the results travel back through the pool."""
+    global _inherited
     results: dict[int, object] = {}
     ctx = _fork_context()
     if jobs <= 1 or len(items) <= 1 or ctx is None:
@@ -269,15 +284,22 @@ def _pool_map(indexed_call, jobs: int, items: list):
             index, value = indexed_call(item)
             results[index] = value
     else:
-        with ctx.Pool(processes=min(jobs, len(items))) as pool:
-            for index, value in pool.imap_unordered(indexed_call, items, chunksize=1):
-                results[index] = value
+        _inherited = (indexed_call, items)
+        try:
+            with ctx.Pool(processes=min(jobs, len(items))) as pool:
+                for index, value in pool.imap_unordered(
+                    _call_inherited, range(len(items)), chunksize=1
+                ):
+                    results[index] = value
+        finally:
+            _inherited = None
     return [results[i] for i in sorted(results)]
 
 
 def map_tasks(fn, items, *, jobs: int = 1) -> list:
-    """Generic orchestrator entry point: apply a picklable ``fn`` to
-    every item on the sweep pool, preserving input order.  The property
+    """Generic orchestrator entry point: apply ``fn`` to every item on
+    the sweep pool, preserving input order.  The pool forks, so ``fn``
+    and the items need not be picklable (results must be).  The property
     tables and the Figure 1 harness route through this, so every
     experiment artifact shares one execution layer.
 

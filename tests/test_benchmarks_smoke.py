@@ -49,8 +49,11 @@ def test_bench_partitioner_quick(tmp_path):
     assert {"config", "end_to_end", "quality_suite", "acceptance"} <= set(data)
     assert len(data["end_to_end"]) == 4  # 2 models x 2 K values
     for entry in data["end_to_end"]:
-        assert entry["vectorized_s"] > 0
+        assert entry["numpy_s"] > 0
         assert entry["stages"]["total_s"] > 0
+        if data["config"]["native"]:
+            assert entry["native_identical"]
+            assert entry["cut_native"] == entry["cut_vectorized"]
     assert data["quality_suite"]["max_ratio"] == max(
         m["ratio"] for m in data["quality_suite"]["matrices"]
     )
