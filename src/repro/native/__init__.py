@@ -12,8 +12,8 @@ via :mod:`ctypes`, and dispatched behind a feature flag:
 
 - ``backend="numpy" | "native" | "auto"`` kwargs on
   :meth:`~repro.runtime.CommPlan.apply` /
-  :meth:`~repro.runtime.CommPlan.apply_many`, the solvers, the
-  :class:`~repro.engine.PartitionEngine` and the parallel executor;
+  :meth:`~repro.runtime.CommPlan.apply_many` and the solvers, and
+  ``--backend`` on the CLI ``solve``/``table`` subcommands;
 - the ``REPRO_NATIVE`` environment flag (``0`` forces NumPy, ``1`` or
   unset prefers native where a compiler exists);
 - when no compiler is available, ``auto`` silently falls back to the

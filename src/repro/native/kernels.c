@@ -1,5 +1,5 @@
 /* Fused gather / multiply / group-sum scatter kernels for the compiled
- * SpMV runtime (repro.runtime.plan, repro.runtime.parallel).
+ * SpMV runtime (repro.runtime.plan).
  *
  * Bit-identity contract with the NumPy kernels they replace:
  *

@@ -4,8 +4,8 @@ Each function mirrors one NumPy formulation used by the compiled
 runtime and produces bit-identical float64 results (same element
 order, same rounding — see ``kernels.c``).  All take the loaded
 :class:`~repro.native.build.KernelLib` first; callers resolve the
-backend and fetch the library once (per plan / per worker), so the per
--apply overhead is a handful of ctypes calls.
+backend and fetch the library once per plan, so the per-apply
+overhead is a handful of ctypes calls.
 
 ``group`` arguments are ``(index, length)`` pairs produced by
 :func:`compact_group` from a duck-typed group plan with the
@@ -51,7 +51,7 @@ def _validate(kernel: str, n: int, *index_specs) -> None:
 
     Runs only under ``REPRO_NATIVE_DEBUG=1``; the kernels themselves
     perform no checks (that is what makes them fast), so this is the
-    last line before raw shared-memory writes.
+    last line before raw writes into NumPy-owned buffers.
     """
     for name, idx, bound, size in index_specs:
         idx = np.asarray(idx)

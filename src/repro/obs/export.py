@@ -9,10 +9,10 @@ Three views of one :class:`~repro.obs.trace.Trace`:
   record bench/regression tooling consumes;
 - :func:`to_chrome` — Chrome trace-event format (the ``traceEvents``
   array), loadable in Perfetto / ``chrome://tracing``.  Span ``attrs``
-  become ``args``; a ``worker`` attribute maps to the event's ``tid``
-  so a parallel solve's per-worker superstep slices render as separate
-  timeline rows, and ``pid`` (when present, e.g. sweep pool workers)
-  maps through as the process row.
+  become ``args``; a ``worker`` (or ``tid``) attribute maps to the
+  event's ``tid`` and a ``pid`` attribute to its process row, so spans
+  stamped by worker processes (sweep pool workers put their ``pid`` on
+  each ``sweep.task`` span) render as separate timeline rows.
 
 All timestamps are measured from the trace's ``t0``, so timelines
 start at zero regardless of process uptime.

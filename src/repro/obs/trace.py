@@ -6,16 +6,15 @@ One mechanism replaces the repo's scattered self-observation plumbing
 - :func:`tracing` opens an ambient :class:`Trace` collector;
 - :func:`span` times a named block into the current trace as a node of
   a hierarchical span tree (engine plan/compile, partitioner stages,
-  simulator phases, solver iterations, parallel supersteps, sweep
-  cells — see the taxonomy in DESIGN.md "Observability layer");
+  simulator phases, solver iterations, sweep cells — see the taxonomy
+  in DESIGN.md "Observability layer");
 - :func:`add` bumps a counter (cache hits, words sent, flops) on the
   innermost open span;
 - :func:`event` records an instantaneous marker (a native kernel
   build, an artifact-cache store);
 - :func:`record` appends an *already measured* span — the hook the
-  parallel executor's coordinator uses to merge per-worker superstep
-  timings read from the shared-memory stats block into the trace with
-  ``worker=``/``step=`` labels.
+  campaign coordinator uses to merge cell windows its workers measured
+  into the trace as ``campaign.cell`` spans.
 
 Every helper is a cheap no-op when no trace is open (one thread-local
 read), so call sites instrument unconditionally; traced runs stay
@@ -23,8 +22,8 @@ bit-identical to untraced runs because nothing here touches numeric
 state.  Collection is **thread-confined**: the trace binds to the
 opening thread, spans recorded by other threads fall into that
 thread's own ambient slot (or nowhere).  Worker *processes* never
-share a trace object — they report through shared-memory blocks and
-the coordinator merges (see :mod:`repro.runtime.parallel`).
+share a trace object — they send their measurements back to the
+coordinator, which merges them (see :mod:`repro.sweep.campaign`).
 
 :func:`now` is the repository's one sanctioned wall-clock read; lint
 rule ``REP008`` confines direct ``time.perf_counter`` calls to this
@@ -252,7 +251,7 @@ def record(name: str, t0: float, dur: float, **attrs) -> None:
     """Append an externally measured span under the current position.
 
     ``t0``/``dur`` are :func:`now` seconds measured elsewhere — e.g. a
-    pool worker's superstep window read back from shared memory; the
+    campaign worker's cell window sent back over its pipe; the
     coordinator calls this to merge them into its trace.
     """
     trace = _TRACE.active()

@@ -25,25 +25,22 @@ The iterative solvers (:mod:`repro.solvers`), the engine's memoized
 run on this layer; compiled plans can be persisted with
 :func:`repro.partition.serialize.save_plan`.
 
-For shared-memory execution, :func:`shard_plan` splits a compiled plan
-into per-part :class:`PartPlan`s and :class:`ParallelExecutor` runs
-them on a persistent process pool (:mod:`repro.runtime.parallel`).
+:func:`shard_plan` splits a compiled plan into per-part
+:class:`PartPlan`s with explicit message buffers, and
+:func:`apply_shards_serial` replays them superstep by superstep on one
+core (:mod:`repro.runtime.shards`).  Every ``shard_plan`` call checks
+that replay bit for bit against :meth:`CommPlan.apply_y` and word for
+word against the ledger.
 """
 
 from repro.runtime.compile import compile_plan, shard_plan
-from repro.runtime.parallel import (
-    ParallelExecutor,
-    apply_shards_serial,
-    build_parallel_executor,
-)
 from repro.runtime.plan import CommPlan, PartPlan
+from repro.runtime.shards import apply_shards_serial
 
 __all__ = [
     "CommPlan",
-    "ParallelExecutor",
     "PartPlan",
     "apply_shards_serial",
-    "build_parallel_executor",
     "compile_plan",
     "shard_plan",
 ]

@@ -2,10 +2,10 @@
 
 Several of the repo's correctness arguments are *policy* rather than
 code — "accumulation primitives live only in kernel-bearing layers",
-"never synchronize the pool with a barrier", "every shared segment has
-a registered finalizer".  Those hold today because the relevant PRs
-were careful, but nothing stops a future change from violating them
-silently.  This module encodes each policy as a rule over the stdlib
+"never synchronize worker processes with a barrier", "every shared
+segment has a registered finalizer".  Those hold today because the
+relevant changes were careful, but nothing stops a future change from
+violating them silently.  This module encodes each policy as a rule over the stdlib
 :mod:`ast` (no third-party lint framework) and runs the set over
 ``src/`` as a tier-1 test.
 
@@ -22,13 +22,16 @@ Rules
 ``REP002`` **no-barrier-sync** — no use or import of
     ``multiprocessing``/``threading`` ``Barrier`` or ``Condition``
     anywhere.  Both block *inside* their protocol waiting for dead
-    peers (see :mod:`repro.runtime.parallel`), so one SIGKILLed worker
-    deadlocks the pool; the semaphore protocol is the only sanctioned
-    synchronization, and :mod:`repro.verify.protocol` proves why.
+    peers, so one SIGKILLed worker deadlocks every process waiting on
+    it.  The campaign supervisor (:mod:`repro.sweep.campaign`) shows
+    the sanctioned pattern: workers stream results over ``Pipe``s, the
+    coordinator polls them against a watchdog deadline and reaps a
+    stuck child with ``Process.kill``, so no wait ever depends on a
+    peer being alive.
 ``REP003`` **finalized-shm** — a module calling
     ``SharedMemory(create=True)`` must also register a
     ``weakref.finalize`` teardown, so segment unlinking survives any
-    exit path (the ``/dev/shm`` leak guard's static half).
+    exit path and no ``/dev/shm`` entry is ever orphaned.
 ``REP004`` **env-via-resolvers** — ``os.environ`` / ``os.getenv``
     access is confined to the resolver modules (``native/build.py``,
     ``experiments/config.py``).  Scattered env reads make runs
@@ -39,7 +42,8 @@ Rules
 ``REP006`` **no-bare-except** — no bare ``except:``; it swallows
     ``KeyboardInterrupt``/``SystemExit`` and hides worker teardown
     bugs.  (``except BaseException`` is allowed where intentional —
-    the worker main loop reraises-or-posts explicitly.)
+    a campaign worker reports the exception to its coordinator
+    explicitly.)
 ``REP007`` **native-layering** — :mod:`repro.native` must not import
     ``repro.runtime`` / ``repro.engine`` / ``repro.sweep``: the kernel
     backend is a leaf the runtime depends on, never the reverse
@@ -76,8 +80,9 @@ RULES: dict[str, tuple[str, str]] = {
     ),
     "REP002": (
         "no multiprocessing/threading Barrier or Condition",
-        "both block waiting for dead peers; one SIGKILL deadlocks the pool "
-        "(model-checked in repro.verify.protocol)",
+        "both block waiting for dead peers, so one SIGKILL deadlocks every "
+        "waiter; supervise workers over Pipes and reap with Process.kill "
+        "(as repro.sweep.campaign does)",
     ),
     "REP003": (
         "SharedMemory(create=True) requires a weakref.finalize in the module",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import glob
 import os
 import pathlib
 import signal
@@ -14,15 +13,10 @@ import scipy.sparse as sp
 from repro.native import find_compiler
 from repro.sparse.coo import canonical_coo
 
-#: Hard wall-clock cap for pool-spawning tests: a superstep-protocol
-#: bug shows up as a hang, and without pytest-timeout in the image a
-#: hung barrier would stall the whole suite.
+#: Hard wall-clock cap for tests that fork worker processes: a stuck
+#: worker shows up as a hang, and without pytest-timeout installed a
+#: hung pool would stall the whole suite.
 PARALLEL_TEST_TIMEOUT_S = 120
-
-
-def _parallel_segments() -> list[str]:
-    """Names of this package's shared-memory segments currently live."""
-    return sorted(glob.glob("/dev/shm/s2d-par-*"))
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +31,7 @@ def _parallel_timeout(request):
     def _timed_out(signum, frame):
         raise TimeoutError(
             f"parallel test exceeded {PARALLEL_TEST_TIMEOUT_S}s — "
-            "likely a stuck superstep"
+            "likely a stuck worker process"
         )
 
     old = signal.signal(signal.SIGALRM, _timed_out)
@@ -47,15 +41,6 @@ def _parallel_timeout(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_leaked_shared_memory():
-    """The whole session must not leak worker-pool shared segments."""
-    before = _parallel_segments()
-    yield
-    leaked = [s for s in _parallel_segments() if s not in before]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 def pytest_collection_modifyitems(config, items):

@@ -110,7 +110,6 @@ for method in ("1d-rowwise", "s2d-heuristic"):
     assert np.array_equal(
         plan.apply_many(xs, backend="numpy"), plan.apply_many(xs, backend="native")
     ), method
-eng.shutdown()
 print("OK-SANITIZED-GOLDEN")
 """
 

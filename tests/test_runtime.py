@@ -5,8 +5,11 @@ per-iteration ledger are *bit-identical* to ``run_single_phase`` /
 ``run_two_phase`` / ``run_s2d_bounded`` — on suite matrices, real
 partitioner output, random admissible partitions and rectangular
 instances — plus the batched ``apply_many``, plan persistence, the
-engine's memoized ``compiled_plan`` intermediate and the CLI ``solve``
-subcommand.
+engine's memoized ``compiled_plan`` intermediate, the CLI ``solve``
+subcommand, and ``shard_plan``: its serial per-part replay
+(:func:`~repro.runtime.apply_shards_serial`) reproduces ``apply_y``
+bit-identically and writes exactly the ledger's words per part and
+phase.
 """
 
 import json
@@ -21,7 +24,8 @@ from repro.errors import ConfigError, PartitionError, ReproError, SimulationErro
 from repro.hypergraph import PartitionConfig
 from repro.partition import partition_1d_rowwise, partition_2d_finegrain
 from repro.partition.serialize import load_partition, load_plan, save_partition, save_plan
-from repro.runtime import CommPlan, compile_plan
+from repro.runtime import CommPlan, apply_shards_serial, compile_plan, shard_plan
+from repro.runtime.shards import _N_STEPS, PHASES
 from repro.simulate import MachineModel
 from repro.simulate.report import run_partition
 
@@ -279,3 +283,54 @@ def test_cli_solve_power(capsys):
 def test_cli_solve_rejects_missing_matrix():
     with pytest.raises(SystemExit):
         main(["solve", "--k", "4"])
+
+
+# ---------------------------------------------------------------- shards
+
+
+def _ledger_words(plan) -> np.ndarray:
+    """Predicted per-part words per phase, (K, nphases)."""
+    return np.stack(
+        [plan.ledger.sent_volume(ph) for ph in PHASES[plan.executor]], axis=1
+    )
+
+
+def test_shards_replay_bit_identical(partitioned_instances):
+    rng = np.random.default_rng(31)
+    for p, mode in partitioned_instances:
+        plan = compile_plan(p)
+        shards = shard_plan(p, plan)
+        assert len(shards) == p.nparts
+        assert sorted(s.part for s in shards) == list(range(p.nparts))
+        assert all(s.mode == mode for s in shards)
+        for _ in range(2):
+            x = rng.standard_normal(p.matrix.shape[1])
+            assert np.array_equal(apply_shards_serial(plan, shards, x), plan.apply_y(x))
+
+
+def test_shards_measure_ledger_exactly(partitioned_instances):
+    for p, _ in partitioned_instances:
+        plan = compile_plan(p)
+        shards = shard_plan(p, plan)
+        stats = np.zeros((p.nparts, len(PHASES[plan.executor])), dtype=np.int64)
+        apply_shards_serial(plan, shards, stats=stats)
+        assert np.array_equal(stats, _ledger_words(plan))
+
+
+def test_shards_own_rows_partition_y(partitioned_instances):
+    for p, _ in partitioned_instances:
+        plan = compile_plan(p)
+        shards = shard_plan(p, plan)
+        rows = np.concatenate([s.own_rows for s in shards])
+        assert np.array_equal(np.sort(rows), np.arange(plan.nrows))
+
+
+def test_phase_tables_cover_all_executors(partitioned_instances):
+    seen = set()
+    for p, mode in partitioned_instances:
+        plan = compile_plan(p)
+        assert plan.executor == mode
+        assert mode in PHASES and mode in _N_STEPS
+        assert len(PHASES[mode]) <= _N_STEPS[mode]
+        seen.add(mode)
+    assert seen == {"single", "two", "routed"}

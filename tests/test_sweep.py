@@ -1,7 +1,9 @@
 """The sweep grid compiler and parallel orchestrator.
 
 Fast tests cover grid compilation (axes, DAG ordering, deterministic
-seed derivation) and serial execution semantics; the slow-marked smoke
+seed derivation), serial execution semantics and ``jobs`` resolution
+(``0`` = auto, negative = :class:`~repro.errors.UsageError`, one clean
+CLI error line); the slow-marked smoke
 test runs a tiny grid on a two-worker fork pool and asserts parity
 with the serial records — the bit-identity guarantee the table harness
 relies on.
@@ -9,9 +11,10 @@ relies on.
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UsageError
 from repro.experiments import ExperimentConfig
 from repro.experiments.tables import run_table2
+from repro.jobs import host_cpus, resolve_jobs
 from repro.simulate.machine import MachineModel
 from repro.sweep import (
     SchemeSpec,
@@ -163,6 +166,42 @@ def test_machine_axis_reprices_not_repartitions():
 
 def test_map_tasks_preserves_order():
     assert map_tasks(len, ["a", "bb", "ccc"]) == [1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# Jobs resolution (CLI + orchestrator)
+# ----------------------------------------------------------------------
+
+
+def test_resolve_jobs():
+    assert resolve_jobs(None, default=7) == 7
+    assert resolve_jobs(3) == 3
+    assert resolve_jobs(0) == host_cpus()
+    with pytest.raises(UsageError, match="--jobs"):
+        resolve_jobs(-1, what="--jobs")
+
+
+def test_run_sweep_rejects_negative_jobs():
+    # Jobs are validated before the grid is touched, so a malformed
+    # request fails fast without building any task.
+    with pytest.raises(UsageError):
+        run_sweep(None, jobs=-2)
+
+
+@pytest.mark.parallel
+def test_map_tasks_jobs_auto():
+    assert map_tasks(lambda v: v * v, [1, 2, 3], jobs=0) == [1, 4, 9]
+    with pytest.raises(UsageError):
+        map_tasks(lambda v: v, [1], jobs=-1)
+
+
+def test_cli_table_negative_jobs_clean_error(capsys):
+    from repro.cli import main
+
+    rc = main(["table", "--id", "2", "--scale", "tiny", "--jobs", "-4"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "--jobs" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_rep008_flags_perf_counter_outside_obs():
         "import time\nt0 = time.perf_counter()\n", "engine/engine.py"
     )
     assert "REP008" in _rules(
-        "from time import perf_counter\n", "runtime/parallel.py"
+        "from time import perf_counter\n", "runtime/shards.py"
     )
 
 
@@ -203,7 +203,7 @@ def test_rep008_allows_obs_and_other_time_calls():
     # *clock*, not the module.
     assert "REP008" not in _rules(
         "import time\ntime.sleep(0.1)\nfrom time import sleep\n",
-        "runtime/parallel.py",
+        "runtime/shards.py",
     )
 
 
@@ -212,7 +212,7 @@ def test_rep008_allows_obs_and_other_time_calls():
 
 def test_rep009_flags_os_kill_and_sigkill_outside_faults():
     assert "REP009" in _rules(
-        "import os\nos.kill(pid, 9)\n", "runtime/parallel.py"
+        "import os\nos.kill(pid, 9)\n", "runtime/shards.py"
     )
     assert "REP009" in _rules(
         "import signal\nSIG = signal.SIGKILL\n", "sweep/campaign.py"

@@ -4,14 +4,13 @@
 Runs, in order, and prints one PASS/FAIL line per step:
 
 1. project lint over ``src/repro`` (``repro check lint``);
-2. the protocol model checker for 2-4 workers with crash faults;
-3. the plan-IR checker on freshly compiled golden instances across all
+2. the plan-IR checker on freshly compiled golden instances across all
    three execution models (plan- and shard-level);
-4. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
+3. the fast pytest tier (``-m "not slow"``) in a subprocess — skipped
    with ``--no-pytest`` when only the static layer is wanted;
-5. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
+4. with ``--bench``, the bench-trend gate (``tools/bench_trend.py``)
    over the committed ``BENCH_*.json`` acceptance metrics;
-6. with ``--campaign``, a crash-safety smoke: a small faulted grid run
+5. with ``--campaign``, a crash-safety smoke: a small faulted grid run
    under a seeded ``FaultPlan`` (worker kill + transient raise) must
    complete with records bit-identical to an unfaulted serial sweep,
    and must leave ``/dev/shm`` clean.
@@ -41,17 +40,6 @@ def step_lint() -> tuple[bool, str]:
     if violations:
         return False, "\n".join(str(v) for v in violations)
     return True, "0 violations over src/repro"
-
-
-def step_protocol() -> tuple[bool, str]:
-    from repro.verify import check_protocol
-
-    reports = check_protocol(
-        workers=(2, 3, 4), nsteps=(2, 3), max_faults=1, raise_on_error=False
-    )
-    bad = [r for r in reports if not r.ok]
-    detail = "\n".join(r.summary() for r in (bad or reports[-3:]))
-    return not bad, detail
 
 
 def step_plans() -> tuple[bool, str]:
@@ -181,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--no-pytest",
         action="store_true",
-        help="run only the static checks (lint, protocol, plan-IR)",
+        help="run only the static checks (lint, plan-IR)",
     )
     ap.add_argument(
         "--bench",
@@ -198,7 +186,6 @@ def main(argv: list[str] | None = None) -> int:
 
     steps = [
         ("lint", step_lint),
-        ("protocol", step_protocol),
         ("plan-ir", step_plans),
     ]
     if args.bench:
