@@ -1,7 +1,8 @@
 """Micro-benchmark: vectorized multilevel partitioner vs the seed code.
 
-Times end-to-end ``partition_kway`` (with per-stage breakdown from the
-profiling hooks) on column-net models of an R-MAT instance and a kNN
+Times end-to-end ``partition_kway`` (with a per-stage breakdown summed
+from the ``partition.*`` spans of a :mod:`repro.obs` trace, the same
+aggregation as the CLI ``--profile`` table) on column-net models of an R-MAT instance and a kNN
 mesh at K ∈ {16, 64}, against the preserved legacy implementation
 (:mod:`repro.hypergraph.legacy`), and compares connectivity-1 quality
 on the Table-I generator suite.  Each column pins its backend: ``numpy_s``
@@ -51,10 +52,10 @@ def _models(quick: bool):
 
 
 def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
+    from repro import obs
     from repro.generators.suite import table1_suite
     from repro.hypergraph import (
         PartitionConfig,
-        PartitionProfile,
         column_net_model,
         connectivity_minus_one,
         imbalance,
@@ -68,20 +69,25 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
     have_native = resolve_backend("auto") == "native"  # builds before timing
 
     def timed(backend: str, hg, k):
+        """``(part, seconds, stages)`` of one traced ``partition_kway``."""
         set_default_backend(backend)
         try:
-            prof = PartitionProfile()
-            t0 = time.perf_counter()
-            part = partition_kway(hg, k, cfg, profile=prof)
-            return part, time.perf_counter() - t0, prof
+            with obs.tracing(), obs.span("bench.partition") as root:
+                part = partition_kway(hg, k, cfg)
         finally:
             set_default_backend(None)
+        seconds, counters = obs.stage_totals(root, "partition.")
+        stages = {f"{name}_s": seconds.get(name, 0.0)
+                  for name in ("coarsen", "initial", "refine", "kway")}
+        stages.update(total_s=root.dur, levels=counters.get("levels", 0),
+                      bisections=counters.get("bisections", 0))
+        return part, root.dur, stages
 
     entries = []
     for name, a in _models(quick):
         hg = column_net_model(a)
         for k in ks:
-            part, t_new, prof = timed("numpy", hg, k)
+            part, t_new, stages = timed("numpy", hg, k)
             t0 = time.perf_counter()
             part_old = legacy_partition_kway(hg, k, cfg)
             t_old = time.perf_counter() - t0
@@ -100,7 +106,7 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                 "cut_legacy": cut_old,
                 "cut_ratio": cut_new / max(cut_old, 1),
                 "imbalance_vectorized": imbalance(hg, part, k),
-                "stages": prof.as_dict(),
+                "stages": stages,
             }
             line = (
                 f"{name:16s} K={k:<3d} numpy {t_new:7.2f}s  "
@@ -108,13 +114,13 @@ def run(out_path: pathlib.Path = DEFAULT_OUT, *, quick: bool = False) -> dict:
                 f"cut ratio {cut_new / max(cut_old, 1):.3f}"
             )
             if have_native:
-                part_nat, t_nat, prof_nat = timed("native", hg, k)
+                part_nat, t_nat, stages_nat = timed("native", hg, k)
                 entry.update(
                     native_s=t_nat,
                     native_speedup=t_new / t_nat,
                     cut_native=connectivity_minus_one(hg, part_nat),
                     native_identical=bool(np.array_equal(part_nat, part)),
-                    stages_native=prof_nat.as_dict(),
+                    stages_native=stages_nat,
                 )
                 line += f"  native {t_nat:6.2f}s ({t_new / t_nat:4.1f}x)"
             entries.append(entry)

@@ -30,7 +30,9 @@ cache reads;
 summary the tables are made of; ``simulate`` runs the simulated SpMV
 executors themselves (``--all`` batches every registered method over
 shared intermediates, ``--profile`` adds per-phase wall-clock timings
-and the machine-model cost breakdown); ``solve`` runs an iterative
+and the machine-model cost breakdown); the ``--profile`` tables of
+``partition`` and ``simulate`` are views over the same span trace
+``--trace`` exports; ``solve`` runs an iterative
 solver (power iteration, Jacobi, CG) on the compiled SpMV runtime —
 the partition is compiled once into a reusable communication plan and
 every iteration is a pure array apply.  ``--backend
@@ -61,6 +63,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import obs
 from repro.engine import ALIASES, PartitionEngine, available_methods
 from repro.errors import ConfigError, UsageError
 from repro.native import BACKENDS
@@ -330,20 +333,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         trace_path = getattr(args, "trace", None)
-        if not trace_path:
+        if not (trace_path or getattr(args, "profile", False)):
             return _dispatch(args)
-        # Traced run: collect a span tree around the whole dispatch and
-        # export it; the command's numeric outputs are unaffected
-        # (instrumentation never touches numeric state).
-        from repro import obs
-        from repro.obs import tree_str, write_trace
-
+        # Traced run: collect one span tree around the whole dispatch;
+        # --profile tabulates it, --trace exports it.  The command's
+        # numeric outputs are unaffected (instrumentation never touches
+        # numeric state).
         with obs.tracing() as tr:
             rc = _dispatch(args)
         if trace_path == "-":
-            print(tree_str(tr))
-        else:
-            write_trace(tr, trace_path, fmt=args.trace_format)
+            print(obs.tree_str(tr))
+        elif trace_path:
+            obs.write_trace(tr, trace_path, fmt=args.trace_format)
             print(f"trace: {trace_path} ({args.trace_format})")
         return rc
     except (ConfigError, UsageError) as exc:
@@ -423,18 +424,16 @@ def _dispatch(args) -> int:
         a = read_matrix_market(args.mtx) if args.mtx else _find_matrix(args.matrix, args.scale)
         props = matrix_properties(a, name=args.matrix or args.mtx)
         print(props.table_row())
-        plan = _engine(a, cfg).plan(
-            args.scheme, args.k, config=cfg.partitioner(), profile=args.profile
-        )
-        if args.profile and plan.profile is not None:
-            print(plan.profile.stage_table())
+        with obs.span("cli.partition", method=args.scheme, k=args.k) as root:
+            plan = _engine(a, cfg).plan(args.scheme, args.k, config=cfg.partitioner())
+        if args.profile:
+            print(obs.stage_table(root, "partition."))
         q = plan.quality()
         print(_quality_line(plan.kind, q))
         return 0
 
     if args.cmd == "simulate":
         from repro.engine import available_methods as _methods
-        from repro.simulate import profiling as sim_profiling
 
         if bool(args.matrix) == bool(args.mtx):
             raise SystemExit("provide exactly one of --matrix / --mtx")
@@ -446,12 +445,12 @@ def _dispatch(args) -> int:
         methods = _methods() if args.all else [args.scheme or "s2d"]
         for method in methods:
             plan = eng.plan(method, args.k, config=cfg.partitioner())
-            with sim_profiling.collect() as sprof:
+            with obs.span("cli.simulate", method=method, k=args.k) as root:
                 run = eng.run(plan)
             q = plan.quality()
             print(_quality_line(plan.kind, q))
             if args.profile:
-                print(sprof.stage_table())
+                print(obs.stage_table(root, "simulate.", label="phase"))
                 for entry in run.breakdown(cfg.machine):
                     print(
                         f"  {entry['name']:<15} compute={entry['compute']:<10g} "

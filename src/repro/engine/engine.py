@@ -30,8 +30,7 @@ import numpy as np
 from repro import obs
 from repro.dm.batch import BlockDM, batched_block_dm
 from repro.engine.registry import METHODS, available_methods, resolve_method
-from repro.hypergraph import PartitionConfig, PartitionProfile
-from repro.hypergraph import profiling as hg_profiling
+from repro.hypergraph import PartitionConfig
 from repro.partition.types import SpMVPartition, VectorPartition
 from repro.runtime import CommPlan, compile_plan
 from repro.simulate.machine import MachineModel, SpMVRun
@@ -55,8 +54,6 @@ class Plan:
     partition: SpMVPartition
     engine: "PartitionEngine" = field(repr=False)
     key: tuple = field(repr=False, default=())
-    profile: PartitionProfile | None = field(repr=False, default=None)
-    """Per-stage partitioner timings; populated by ``plan(profile=True)``."""
 
     @property
     def kind(self) -> str:
@@ -269,7 +266,6 @@ class PartitionEngine:
         nparts: int,
         *,
         config: PartitionConfig | None = None,
-        profile: bool = False,
         **opts,
     ) -> tuple:
         """The full memo/artifact key :meth:`plan` would use.
@@ -287,7 +283,6 @@ class PartitionEngine:
             self._config_key(config),
             self._opts_key(opts),
             ("defaults", self.epsilon),
-            ("profile", bool(profile)),
         )
 
     def plan(
@@ -296,7 +291,6 @@ class PartitionEngine:
         nparts: int,
         *,
         config: PartitionConfig | None = None,
-        profile: bool = False,
         **opts,
     ) -> Plan:
         """Build (or fetch) the partition of ``method`` at ``nparts``.
@@ -308,35 +302,24 @@ class PartitionEngine:
         participate in the memo key, as does the engine-level
         ``epsilon`` default the s2D builders fall back to.
 
-        With ``profile=True`` the returned plan carries a
-        :class:`~repro.hypergraph.PartitionProfile` with per-stage
-        wall-clock timings of every ``partition_kway`` run during the
-        build (nested method builders included).  Profiled plans are
-        memoized separately, so a cached unprofiled plan never masks
-        the timing request — note that intermediates already in the
-        engine cache (e.g. a shared 1D vector partition) are *not*
-        rebuilt, and their partitioner time will read as zero.
+        The call runs inside an ``engine.plan`` span; an open
+        :func:`repro.obs.tracing` block sees the ``partition.*`` stage
+        spans of every hypergraph run the build performs.  Memoized
+        intermediates (a shared 1D vector partition, a persisted
+        partition) are not rebuilt, so they add no stage spans.
         """
         name = resolve_method(method)
         if config is None:
             config = self.partitioner()
-        key = self.plan_key(name, nparts, config=config, profile=profile, **opts)
+        key = self.plan_key(name, nparts, config=config, **opts)
 
         def build() -> Plan:
-            prof = None
             partition = None
-            # Profiled builds bypass the persistent store: a cached
-            # partition would report zero partitioner time.
-            use_artifacts = self.artifacts is not None and not profile
-            if use_artifacts:
+            if self.artifacts is not None:
                 partition = self.artifacts.fetch_partition(self.matrix_digest, key)
             if partition is None:
-                if profile:
-                    with hg_profiling.collect() as prof:
-                        partition = METHODS[name](self, nparts, config, opts)
-                else:
-                    partition = METHODS[name](self, nparts, config, opts)
-                if use_artifacts:
+                partition = METHODS[name](self, nparts, config, opts)
+                if self.artifacts is not None:
                     self.artifacts.store_partition(self.matrix_digest, key, partition)
             return Plan(
                 method=name,
@@ -344,7 +327,6 @@ class PartitionEngine:
                 partition=partition,
                 engine=self,
                 key=key,
-                profile=prof,
             )
 
         with obs.span("engine.plan", method=name, k=int(nparts)):

@@ -15,12 +15,12 @@ implements the same algorithmic recipe:
   random initial bisections;
 - :mod:`repro.hypergraph.refine` — Fiduccia–Mattheyses boundary
   refinement with cut-net metric and multi-constraint balance;
-- :mod:`repro.hypergraph.bisect` — the multilevel V-cycle;
+- :mod:`repro.hypergraph.bisect` — the multilevel V-cycle, whose
+  stages record ``partition.*`` spans and counters into the ambient
+  :mod:`repro.obs` trace (the CLI ``partition --profile`` table);
 - :mod:`repro.hypergraph.partitioner` — recursive-bisection K-way
   driver with cut-net splitting (exactly models the connectivity-1
   communication-volume metric);
-- :mod:`repro.hypergraph.profiling` — per-stage wall-clock profiling of
-  the multilevel pipeline;
 - :mod:`repro.hypergraph.legacy` — the seed (pre-vectorization)
   implementation, kept as golden quality reference and benchmark
   baseline.
@@ -41,7 +41,6 @@ from repro.hypergraph.partitioner import (
     imbalance,
     partition_kway,
 )
-from repro.hypergraph.profiling import PartitionProfile
 
 __all__ = [
     "Hypergraph",
@@ -51,7 +50,6 @@ __all__ = [
     "medium_grain_model",
     "medium_grain_split",
     "PartitionConfig",
-    "PartitionProfile",
     "partition_kway",
     "connectivity_minus_one",
     "cutnet_cost",

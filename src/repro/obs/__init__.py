@@ -1,10 +1,12 @@
 """repro.obs — the unified tracing/metrics layer.
 
 One tracer core (:mod:`repro.obs.trace`) behind every way the repo
-observes itself: the legacy partition/simulate profilers are adapters
-over it, the CLI ``--trace`` flag exports its span tree (human tree,
-schema-versioned JSON, Chrome trace-event for Perfetto), ``repro
-stats`` aggregates the cache/native counter stores, and
+observes itself: the partitioner and the simulated executors record
+``partition.*`` / ``simulate.*`` spans into it, the CLI ``--trace``
+flag exports its span tree (human tree, schema-versioned JSON, Chrome
+trace-event for Perfetto), the CLI ``--profile`` flag prints a stage
+table over the same spans (:func:`stage_table`), ``repro stats``
+aggregates the cache/native counter stores, and
 ``tools/bench_trend.py`` gates BENCH acceptance metrics against the
 committed history.
 """
@@ -12,6 +14,8 @@ committed history.
 from repro.obs.export import (
     FORMATS,
     from_json,
+    stage_table,
+    stage_totals,
     to_chrome,
     to_json,
     tree_str,
@@ -20,7 +24,6 @@ from repro.obs.export import (
 from repro.obs.stats import gather_stats, register_cache, register_engine, stats_text
 from repro.obs.trace import (
     SCHEMA_VERSION,
-    AmbientCollector,
     Span,
     Trace,
     active_trace,
@@ -35,7 +38,6 @@ from repro.obs.trace import (
 from repro.obs.trend import compare_bench, load_bench, trend_report, trend_text
 
 __all__ = [
-    "AmbientCollector",
     "FORMATS",
     "SCHEMA_VERSION",
     "Span",
@@ -53,6 +55,8 @@ __all__ = [
     "register_cache",
     "register_engine",
     "span",
+    "stage_table",
+    "stage_totals",
     "stats_text",
     "to_chrome",
     "to_json",

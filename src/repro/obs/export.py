@@ -1,9 +1,14 @@
-"""Trace exporters: human tree, schema-versioned JSON, Chrome trace.
+"""Trace exporters: human tree, stage table, schema-versioned JSON,
+Chrome trace.
 
-Three views of one :class:`~repro.obs.trace.Trace`:
+Views of one :class:`~repro.obs.trace.Trace`:
 
 - :func:`tree_str` — the CLI ``--trace -`` view: an indented tree with
   per-span seconds, share of the parent, attributes and counters;
+- :func:`stage_table` — the CLI ``--profile`` view: the ``prefix.*``
+  spans under one root summed by stage name (``partition.refine`` →
+  ``refine``), plus the ``prefix.*`` counters charged in that subtree;
+  :func:`stage_totals` is the same aggregation as plain dicts;
 - :func:`to_json` / :func:`from_json` — a schema-versioned dict with
   stable (sorted) keys that round-trips exactly; the machine-readable
   record bench/regression tooling consumes;
@@ -26,6 +31,8 @@ from repro.obs.trace import SCHEMA_VERSION, Span, Trace
 
 __all__ = [
     "from_json",
+    "stage_table",
+    "stage_totals",
     "to_chrome",
     "to_json",
     "tree_str",
@@ -64,6 +71,46 @@ def tree_str(trace: Trace) -> str:
             "counters: "
             + " ".join(f"{k}={totals[k]}" for k in sorted(totals))
         )
+    return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Stage table (the --profile view)
+# ----------------------------------------------------------------------
+
+
+def stage_totals(root: Span, prefix: str) -> tuple[dict, dict]:
+    """``(seconds, counters)`` of the ``prefix`` spans under ``root``.
+
+    ``seconds`` sums the durations of the spans below ``root`` by
+    stage name (the span name with ``prefix`` stripped), in first-seen
+    order.  ``counters`` sums every ``prefix`` counter charged in the
+    subtree, ``root`` included, with the prefix stripped.
+    """
+    seconds: dict[str, float] = {}
+    counters: dict[str, float] = {}
+    for sp in root.walk():
+        if sp is not root and sp.name.startswith(prefix):
+            stage = sp.name[len(prefix):]
+            seconds[stage] = seconds.get(stage, 0.0) + sp.dur
+        for key, value in sp.counters.items():
+            if key.startswith(prefix):
+                name = key[len(prefix):]
+                counters[name] = counters.get(name, 0) + value
+    return seconds, counters
+
+
+def stage_table(root: Span, prefix: str, label: str = "stage") -> str:
+    """Per-stage seconds and share of ``root``'s duration, a ``total``
+    row (``root``'s duration) and one line of counters."""
+    seconds, counters = stage_totals(root, prefix)
+    denom = root.dur or 1.0
+    lines = [f"{label:<13} seconds   share"]
+    for name, s in seconds.items():
+        lines.append(f"{name:<13} {s:8.4f}  {100.0 * s / denom:5.1f}%")
+    lines.append(f"{'total':<13} {root.dur:8.4f}")
+    if counters:
+        lines.append(" ".join(f"{k}={counters[k]}" for k in sorted(counters)))
     return "\n".join(lines)
 
 

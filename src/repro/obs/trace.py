@@ -1,7 +1,6 @@
 """The tracer core: ambient span trees, counters, and the clock.
 
-One mechanism replaces the repo's scattered self-observation plumbing
-(two copy-pasted ambient profilers, ad-hoc ``perf_counter`` pairs):
+The repository's one self-observation mechanism:
 
 - :func:`tracing` opens an ambient :class:`Trace` collector;
 - :func:`span` times a named block into the current trace as a node of
@@ -28,10 +27,6 @@ coordinator, which merges them (see :mod:`repro.sweep.campaign`).
 :func:`now` is the repository's one sanctioned wall-clock read; lint
 rule ``REP008`` confines direct ``time.perf_counter`` calls to this
 package so every timing in ``src/`` flows through the same clock.
-
-:class:`AmbientCollector` is the generic single-slot ambient pattern
-both legacy profiling modules (:mod:`repro.hypergraph.profiling`,
-:mod:`repro.simulate.profiling`) are now thin adapters over.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = [
-    "AmbientCollector",
     "SCHEMA_VERSION",
     "Span",
     "Trace",
@@ -65,8 +59,7 @@ def now() -> float:
 
     The single sanctioned timing primitive: system-wide, so timestamps
     taken in forked worker processes are directly comparable with the
-    coordinator's (the property the per-worker superstep slices in the
-    Chrome trace ride on).
+    coordinator's (campaign cell windows merged by :func:`record`).
     """
     return time.perf_counter()
 
@@ -124,46 +117,14 @@ class Trace:
         return totals
 
 
-class AmbientCollector:
-    """A generic thread-confined ambient slot with save/restore nesting.
-
-    ``collect(value)`` installs ``value`` (or ``factory()``) as the
-    active collector for the dynamic extent of the ``with`` block and
-    restores the previous one afterwards — exception or not.  This is
-    the one implementation of the pattern the two legacy profiling
-    modules each used to carry privately as a module global.
-    """
-
-    def __init__(self, factory=None):
-        self._factory = factory
-        self._tls = threading.local()
-
-    def active(self):
-        """The installed collector, or None outside any block."""
-        return getattr(self._tls, "value", None)
-
-    @contextmanager
-    def collect(self, value=None):
-        if value is None:
-            if self._factory is None:
-                raise ValueError("no collector value and no factory")
-            value = self._factory()
-        prev = self.active()
-        self._tls.value = value
-        try:
-            yield value
-        finally:
-            self._tls.value = prev
-
-
-# The ambient trace slot and the per-thread open-span stack.
-_TRACE = AmbientCollector(Trace)
+# The ambient trace slot (``_TLS.trace``) and the open-span stack
+# (``_TLS.stack``), both per thread.
 _TLS = threading.local()
 
 
 def active_trace() -> Trace | None:
     """The ambient trace, if a :func:`tracing` block is open."""
-    return _TRACE.active()
+    return getattr(_TLS, "trace", None)
 
 
 def current_span() -> Span | None:
@@ -177,16 +138,17 @@ def tracing(trace: Trace | None = None):
     """Collect a span tree from everything run inside.
 
     Yields the :class:`Trace`; nested ``tracing`` blocks shadow the
-    outer collector and restore it on exit (the outer trace does not
-    see the inner block's spans).
+    outer collector and restore it on exit, exception or not (the
+    outer trace does not see the inner block's spans).
     """
-    with _TRACE.collect(trace) as tr:
-        prev_stack = getattr(_TLS, "stack", None)
-        _TLS.stack = []
-        try:
-            yield tr
-        finally:
-            _TLS.stack = prev_stack
+    tr = Trace() if trace is None else trace
+    prev_trace = active_trace()
+    prev_stack = getattr(_TLS, "stack", None)
+    _TLS.trace, _TLS.stack = tr, []
+    try:
+        yield tr
+    finally:
+        _TLS.trace, _TLS.stack = prev_trace, prev_stack
 
 
 def _attach(trace: Trace, sp: Span) -> None:
@@ -206,7 +168,7 @@ def span(name: str, **attrs):
     labelled ``error=<exception type>`` before the exception
     propagates.
     """
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         yield None
         return
@@ -229,7 +191,7 @@ def span(name: str, **attrs):
 def add(counter: str, value: float = 1) -> None:
     """Bump ``counter`` on the innermost open span (or the trace's
     global counters between spans).  No trace open → no-op."""
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     sp = current_span()
@@ -241,7 +203,7 @@ def add(counter: str, value: float = 1) -> None:
 
 def event(name: str, **attrs) -> None:
     """Record an instantaneous marker (a zero-duration span)."""
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     _attach(trace, Span(name=name, t0=now(), attrs=attrs))
@@ -254,7 +216,7 @@ def record(name: str, t0: float, dur: float, **attrs) -> None:
     campaign worker's cell window sent back over its pipe; the
     coordinator calls this to merge them into its trace.
     """
-    trace = _TRACE.active()
+    trace = active_trace()
     if trace is None:
         return
     _attach(trace, Span(name=name, t0=float(t0), dur=float(dur), attrs=attrs))

@@ -19,8 +19,9 @@ algorithms, not formulas.
   s2D-b;
 - :mod:`repro.simulate.report` — one-call evaluation producing the
   numbers the paper's tables report;
-- :mod:`repro.simulate.profiling` — ambient per-phase wall-clock
-  timing of the executors (CLI ``simulate --profile``);
+- every executor phase runs inside an ``obs.span("simulate.<phase>")``
+  and every run bumps the ``simulate.runs`` counter of the ambient
+  :mod:`repro.obs` trace (the CLI ``simulate --profile`` table);
 - :mod:`repro.simulate.legacy` — the seed executors, frozen as the
   golden baseline for the vectorized ones (bit-identical ledgers).
 """
@@ -33,7 +34,6 @@ from repro.simulate.legacy import (
 )
 from repro.simulate.machine import MachineModel, SpMVRun
 from repro.simulate.messages import Ledger
-from repro.simulate.profiling import SimulateProfile
 from repro.simulate.report import PartitionQuality, evaluate
 from repro.simulate.singlephase import run_single_phase
 from repro.simulate.twophase import run_two_phase
@@ -41,7 +41,6 @@ from repro.simulate.twophase import run_two_phase
 __all__ = [
     "Ledger",
     "MachineModel",
-    "SimulateProfile",
     "SpMVRun",
     "run_single_phase",
     "run_two_phase",

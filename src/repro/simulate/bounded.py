@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigError, SimulationError
 from repro.kernels import group_sum, pair_counts, unique_ints
 from repro.partition.checkerboard import mesh_shape
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import (
     check_fold_ownership,
     check_locality,
@@ -46,7 +46,7 @@ def run_s2d_bounded(
     shape: tuple[int, int] | None = None,
 ) -> SpMVRun:
     """Execute the two-hop routed single-phase SpMV under ``p``."""
-    profiling.note_run()
+    obs.add("simulate.runs")
     p.validate_s2d()
     m = p.matrix
     nrows, ncols = m.shape
@@ -63,7 +63,7 @@ def run_s2d_bounded(
     ledger = Ledger(k)
 
     # ---------------- Precompute --------------------------------------
-    with profiling.stage("precompute"):
+    with obs.span("simulate.precompute"):
         flops_pre = 2 * np.bincount(owner[pre_mask], minlength=k).astype(np.int64)
         # Partials keyed (producer, row): dense keys, bincount fastpath.
         pk = owner[pre_mask].astype(np.int64) * nrows + rows[pre_mask]
@@ -86,7 +86,7 @@ def run_s2d_bounded(
     y_t = mesh_intermediate(y_src, y_dst, pc)
 
     # ---------------- Row phase (hop 1, with combining) ----------------
-    with profiling.stage("route-row"):
+    with obs.span("simulate.route-row"):
         # x: unique (src, t, j) — one copy toward each mesh column.
         # src is a function of j, so (t, j) identifies the copy; several
         # final destinations in one mesh column collapse to one key.
@@ -114,7 +114,7 @@ def run_s2d_bounded(
     # (items whose hop-1 was a no-op are already "at" the source.)
 
     # ---------------- Combine at intermediates -------------------------
-    with profiling.stage("combine"):
+    with obs.span("simulate.combine"):
         # Partials for the same (t, i) merge; each merge beyond the first
         # is one add at t.
         ckey = y_t * nrows + y_i
@@ -135,7 +135,7 @@ def run_s2d_bounded(
         ).astype(np.int64)
 
     # ---------------- Column phase (hop 2) -----------------------------
-    with profiling.stage("route-col"):
+    with obs.span("simulate.route-col"):
         # (dst, j) pairs are already unique, and t is a function of
         # (owner(j), dst) — no dedup needed for the second hop.
         hop2_x = x_t != x_dst
@@ -155,7 +155,7 @@ def run_s2d_bounded(
         ledger.record_pairs("route-col", p2_src, p2_dst, p2_words)
 
     # ---------------- Compute ------------------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         flops_main = 2 * np.bincount(owner[main_mask], minlength=k).astype(np.int64)
         mrows = rows[main_mask]
         mcols = cols[main_mask]
@@ -173,7 +173,7 @@ def run_s2d_bounded(
             y += np.bincount(c_i, weights=csums, minlength=nrows)
             flops_main += np.bincount(c_dst, minlength=k).astype(np.int64)
 
-    with profiling.stage("verify"):
+    with obs.span("simulate.verify"):
         ref = m @ x
         if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
             raise SimulationError("s2D-b SpMV result differs from serial A @ x")

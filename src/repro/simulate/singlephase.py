@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.kernels import group_sum, pair_counts
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import (
     check_fold_ownership,
     check_locality,
@@ -54,7 +54,7 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     ``p`` must be s2D-admissible (1D rowwise/columnwise partitions are,
     trivially).  Returns the simulated run; ``run.y`` equals ``A @ x``.
     """
-    profiling.note_run()
+    obs.add("simulate.runs")
     p.validate_s2d()
     m = p.matrix
     nrows, ncols = m.shape
@@ -70,7 +70,7 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     ledger = Ledger(k)
 
     # ---------------- Phase 1: Precompute -----------------------------
-    with profiling.stage("precompute"):
+    with obs.span("simulate.precompute"):
         flops_pre = 2 * np.bincount(owner[pre_mask], minlength=k).astype(np.int64)
         # Locality: the x value used here must be owned by the computing proc.
         if not np.all(cp[pre_mask] == owner[pre_mask]):
@@ -87,7 +87,7 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
             raise SimulationError("a precomputed partial is already local")
 
     # ---------------- Phase 2: Expand-and-Fold ------------------------
-    with profiling.stage("exchange"):
+    with obs.span("simulate.exchange"):
         # x needs: row-side off-diagonal nonzeros read x they do not own.
         # The sender of x_j is its owner — a function of j — so the
         # delivery items deduplicate on the narrower (receiver, j) key,
@@ -110,7 +110,7 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
         )
 
     # ---------------- Phase 3: Compute --------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         flops_main = 2 * np.bincount(owner[main_mask], minlength=k).astype(np.int64)
         mrows = rows[main_mask]
         mcols = cols[main_mask]
@@ -128,7 +128,7 @@ def run_single_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
             y += np.bincount(part_row, weights=psums, minlength=nrows)
             flops_main += np.bincount(part_dst, minlength=k).astype(np.int64)
 
-    with profiling.stage("verify"):
+    with obs.span("simulate.verify"):
         ref = m @ x
         if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
             raise SimulationError(

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.kernels import group_sum, pair_counts
 from repro.partition.types import SpMVPartition
-from repro.simulate import profiling
 from repro.simulate.common import check_locality, delivery_keys, resolve_x
 from repro.simulate.machine import PhaseCost, SpMVRun
 from repro.simulate.messages import Ledger
@@ -28,7 +28,7 @@ __all__ = ["run_two_phase"]
 
 def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     """Execute the expand/compute/fold SpMV under partition ``p``."""
-    profiling.note_run()
+    obs.add("simulate.runs")
     m = p.matrix
     nrows, ncols = m.shape
     k = p.nparts
@@ -42,7 +42,7 @@ def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
     ledger = Ledger(k)
 
     # ---------------- Phase 1: Expand ---------------------------------
-    with profiling.stage("expand"):
+    with obs.span("simulate.expand"):
         # The sender of x_j is its owner — a function of j — so expand
         # items deduplicate on the narrower (receiver, j) key, which is
         # also the sorted join table of the compute-phase audit.
@@ -54,7 +54,7 @@ def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
         ledger.record_pairs("expand", *pair_counts(e_src, e_dst, k))
 
     # ---------------- Phase 2: Compute --------------------------------
-    with profiling.stage("compute"):
+    with obs.span("simulate.compute"):
         flops = 2 * np.bincount(owner, minlength=k).astype(np.int64)
         # Locality audit: every expanded x read must match a delivered
         # (receiver, j) key.
@@ -67,14 +67,14 @@ def run_two_phase(p: SpMVPartition, x: np.ndarray | None = None) -> SpMVRun:
         p_dst = p.vectors.y_part[p_row]
 
     # ---------------- Phase 3: Fold -----------------------------------
-    with profiling.stage("fold"):
+    with obs.span("simulate.fold"):
         away = p_holder != p_dst
         ledger.record_pairs("fold", *pair_counts(p_holder[away], p_dst[away], k))
 
         y = np.bincount(p_row, weights=psums, minlength=nrows)
         flops_agg = np.bincount(p_dst[away], minlength=k).astype(np.int64)
 
-    with profiling.stage("verify"):
+    with obs.span("simulate.verify"):
         ref = m @ x
         if not np.allclose(y, ref, rtol=1e-10, atol=1e-12):
             raise SimulationError("two-phase SpMV result differs from serial A @ x")

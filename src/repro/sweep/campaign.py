@@ -304,7 +304,6 @@ class _Job:
     resolved: set = field(default_factory=set)
     any_message: bool = False
     ended: bool = False
-    inline: bool = False  # no-fork fallback: conn is a buffer, not an fd
 
 
 class Campaign:
@@ -385,13 +384,7 @@ class Campaign:
             "journal_recovered": 0,
         }
         self.engines: list[dict] = []
-        self._ctx = _fork_context()
-        if self._ctx is None and faults is not None and any(
-            s.kind in ("kill", "stall") for s in faults.specs
-        ):  # pragma: no cover - non-POSIX platforms
-            raise CampaignError(
-                "kill/stall fault injection requires a fork-capable platform"
-            )
+        self._ctx = _fork_context(CampaignError)
 
     # ------------------------------------------------------------- paths
 
@@ -539,14 +532,6 @@ class Campaign:
                 if self._done_count() == len(self.order):
                     break
                 self._dispatch(running, journal, now)
-                # In-process fallback jobs buffer their whole batch at
-                # spawn time and have no pollable fd: consume them here.
-                for conn, job in list(running.items()):
-                    if job.inline:  # pragma: no cover - non-POSIX platforms
-                        if self._drain(job, journal, cache):
-                            return True
-                        self._finish_job(job, journal, reason="eof")
-                        del running[conn]
                 if not running:
                     nb = self._next_not_before()
                     if nb is None:
@@ -619,108 +604,20 @@ class Campaign:
             running[job.conn] = job
 
     def _spawn(self, task: MatrixTask, items: list) -> _Job:
-        if self._ctx is not None:
-            parent, child = self._ctx.Pipe(duplex=False)
-            proc = self._ctx.Process(
-                target=_campaign_worker,
-                args=(child, task, items, str(self.cache_dir), self.faults),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            return _Job(
-                proc=proc,
-                conn=parent,
-                task_index=task.task_index,
-                items=items,
-                deadline=obs.now() + self.watchdog_s,
-            )
-        return self._spawn_inprocess(task, items)  # pragma: no cover
-
-    def _spawn_inprocess(self, task, items) -> _Job:  # pragma: no cover
-        """No-fork fallback: run the batch synchronously and buffer the
-        messages in a queue-like shim (no watchdog, no kill faults)."""
-
-        class _Shim:
-            def __init__(self):
-                self.msgs: list = []
-
-            def send(self, msg):
-                self.msgs.append(msg)
-
-            def close(self):
-                pass
-
-            def poll(self):
-                return bool(self.msgs)
-
-            def recv(self):
-                if not self.msgs:
-                    raise EOFError
-                return self.msgs.pop(0)
-
-            def fileno(self):
-                raise OSError("in-process job has no fd")
-
-        shim = _Shim()
-        cache = ArtifactCache(self.cache_dir)
-        engine = PartitionEngine(
-            task.ref.materialize(),
-            seed=task.seed,
-            epsilon=task.epsilon,
-            machine=task.machines[0],
-            artifacts=cache,
+        parent, child = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_campaign_worker,
+            args=(child, task, items, str(self.cache_dir), self.faults),
+            daemon=True,
         )
-        digest = engine.matrix_digest
-        for uid, cell, attempt in items:
-            shim.send(("started", uid))
-            t0 = obs.now()
-            try:
-                if self.faults is not None:
-                    self.faults.fire(uid, attempt)
-                record = _execute_cell(task, engine, cache, digest, cell)
-                machine = task.machines[cell.machine_index]
-                config = PartitionConfig(
-                    epsilon=task.epsilon,
-                    seed=derive_seed(task.seed, task.matrix_index, cell.slot),
-                )
-                plan_key = engine.plan_key(
-                    cell.scheme, cell.k, config=config, **dict(cell.opts)
-                )
-                key_hex = ArtifactCache.record_key(
-                    digest, plan_key, _machine_key(machine)
-                )
-                shim.send(
-                    ("done", uid, key_hex, t0, obs.now() - t0, record.from_cache)
-                )
-            except Exception as exc:
-                shim.send(("failed", uid, t0, obs.now() - t0, _exc_fields(exc)))
-        info = {"matrix": task.name, "seed": task.seed, "pid": os.getpid()}
-        info.update(engine.cache_info())
-        shim.send(("end", info))
-
-        class _DeadProc:
-            pid = os.getpid()
-
-            @staticmethod
-            def is_alive():
-                return False
-
-            @staticmethod
-            def kill():
-                pass
-
-            @staticmethod
-            def join(timeout=None):
-                pass
-
+        proc.start()
+        child.close()
         return _Job(
-            proc=_DeadProc(),
-            conn=shim,
+            proc=proc,
+            conn=parent,
             task_index=task.task_index,
             items=items,
-            deadline=obs.now() + 1e12,
-            inline=True,
+            deadline=obs.now() + self.watchdog_s,
         )
 
     # ---------------------------------------------------- message intake

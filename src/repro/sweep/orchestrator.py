@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine import PartitionEngine
-from repro.errors import CellExecutionError
+from repro.errors import CellExecutionError, ConfigError
 from repro.hypergraph import PartitionConfig
 from repro.jobs import resolve_jobs
 from repro.simulate.machine import MachineModel
@@ -251,11 +251,16 @@ def _call_indexed(args):
 # ----------------------------------------------------------------------
 
 
-def _fork_context():
-    """The fork multiprocessing context, or None where unsupported
-    (workers then run serially — results are identical either way)."""
+def _fork_context(error=ConfigError):
+    """The fork multiprocessing context.
+
+    Worker processes inherit their work by forking, so a platform
+    without the ``fork`` start method raises ``error`` instead."""
     if "fork" not in multiprocessing.get_all_start_methods():
-        return None  # pragma: no cover - non-POSIX platforms
+        raise error(
+            "worker processes need the 'fork' multiprocessing start method, "
+            "which this platform does not provide"
+        )
     return multiprocessing.get_context("fork")
 
 
@@ -278,12 +283,12 @@ def _pool_map(indexed_call, jobs: int, items: list):
     included); only the results travel back through the pool."""
     global _inherited
     results: dict[int, object] = {}
-    ctx = _fork_context()
-    if jobs <= 1 or len(items) <= 1 or ctx is None:
+    if jobs <= 1 or len(items) <= 1:
         for item in items:
             index, value = indexed_call(item)
             results[index] = value
     else:
+        ctx = _fork_context()
         _inherited = (indexed_call, items)
         try:
             with ctx.Pool(processes=min(jobs, len(items))) as pool:

@@ -106,8 +106,8 @@ RULES: dict[str, tuple[str, str]] = {
     ),
     "REP008": (
         "time.perf_counter only in repro.obs",
-        "all timings flow through obs.now()/span so one clock feeds both "
-        "profiles and traces",
+        "all timings flow through obs.now()/span so one clock feeds the "
+        "trace",
     ),
     "REP009": (
         "os.kill/SIGKILL only in sweep/faults.py",

@@ -237,6 +237,24 @@ def test_duplicate_cell_uids_rejected(grid):
     assert len(set(cell_uid(task, c) for c in task.cells)) == len(task.cells)
 
 
+def test_no_fork_platform_refuses_campaign_runs_serial_sweep(
+    monkeypatch, tmp_path, grid, serial
+):
+    """Campaign workers are forked, so a platform without ``fork`` gets
+    one named error; serial sweeps never need a fork context."""
+    import multiprocessing
+
+    from repro.sweep import map_tasks
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with pytest.raises(CampaignError, match="'fork'"):
+        Campaign(grid, tmp_path, jobs=1, fsync=False)
+    _assert_bit_identical(serial, run_sweep(grid, jobs=1))
+    assert map_tasks(lambda v: v * 2, [1, 2, 3], jobs=1) == [2, 4, 6]
+    with pytest.raises(ConfigError, match="'fork'"):
+        map_tasks(lambda v: v, [1, 2], jobs=2)
+
+
 # ----------------------------------------------------------------------
 # kill -9 at three journal offsets × resume → bit-identical
 # ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """CLI coverage for the extension subcommands and schemes."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.obs import from_json
 
 
 def test_cli_spy(capsys):
@@ -42,6 +45,22 @@ def test_cli_simulate_profile(capsys):
     out = capsys.readouterr().out
     assert "phase" in out and "total" in out  # wall-clock stage table
     assert "bandwidth=" in out and "latency=" in out  # model breakdown
+
+
+def test_cli_partition_profile(tmp_path, capsys):
+    args = ["partition", "--matrix", "trdheim", "--scheme", "1d", "--k", "4",
+            "--scale", "tiny", "--profile"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    rows = {line.split()[0] for line in out.splitlines() if line.strip()}
+    assert {"stage", "coarsen", "initial", "refine", "kway", "total"} <= rows
+    assert "bisections=3" in out and "speedup=" in out
+    # --profile tabulates the same trace --trace exports: profiling
+    # must not hide the partitioner spans from the exported file.
+    path = tmp_path / "trace.json"
+    assert main(args + ["--trace", str(path), "--trace-format", "json"]) == 0
+    names = {sp.name for sp in from_json(json.loads(path.read_text())).walk()}
+    assert {"engine.plan", "partition.refine", "partition.kway"} <= names
 
 
 def test_cli_simulate_all_methods(capsys):

@@ -9,9 +9,10 @@ Contract under test:
 - the JSON export round-trips exactly and refuses unknown schema
   versions; the Chrome export maps ``worker`` attrs to ``tid`` rows so
   Perfetto renders per-worker slices;
-- the profiling adapters (``repro.hypergraph.profiling``,
-  ``repro.simulate.profiling``) keep their byte-compatible public APIs
-  while feeding the same tracer core;
+- the partitioner and the simulated executors record their stages as
+  ``partition.*`` / ``simulate.*`` spans and counters, and
+  ``stage_table``/``stage_totals`` (the ``--profile`` view) sum them by
+  stage name under one root span;
 - ``gather_stats`` aggregates engine memo and artifact-cache counters.
 """
 
@@ -20,18 +21,17 @@ import json
 import pytest
 
 from repro import obs
-from repro.hypergraph import profiling as hprof
 from repro.obs import (
-    AmbientCollector,
     Span,
     Trace,
     from_json,
+    stage_table,
+    stage_totals,
     to_chrome,
     to_json,
     tree_str,
     write_trace,
 )
-from repro.simulate import profiling as sprof
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +97,18 @@ def test_tracing_nests_and_restores():
             assert obs.active_trace() is outer
     assert [sp.name for sp in outer.walk()] == ["a"]
     assert [sp.name for sp in inner.walk()] == ["b"]
+    # An exception escaping the inner block restores the outer trace
+    # and its open-span stack, then the outermost exit restores None.
+    with obs.tracing() as outer:
+        with obs.span("a") as a:
+            with pytest.raises(ValueError):
+                with obs.tracing():
+                    with obs.span("b"):
+                        raise ValueError("boom")
+            assert obs.active_trace() is outer
+            assert obs.current_span() is a
+    assert obs.active_trace() is None
+    assert obs.current_span() is None
 
 
 def test_add_between_spans_hits_trace_counters():
@@ -111,21 +123,6 @@ def test_record_appends_measured_span():
     (sp,) = tr.spans
     assert (sp.t0, sp.dur) == (12.5, 0.25)
     assert sp.attrs == {"worker": 1, "step": 0}
-
-
-def test_ambient_collector_save_restore():
-    slot = AmbientCollector(list)
-    assert slot.active() is None
-    with slot.collect() as a:
-        assert slot.active() is a
-        with pytest.raises(ValueError):
-            with slot.collect(["inner"]) as b:
-                assert slot.active() is b
-                raise ValueError("boom")
-        assert slot.active() is a
-    assert slot.active() is None
-    with pytest.raises(ValueError):
-        AmbientCollector().collect().__enter__()  # no value, no factory
 
 
 # ----------------------------------------------------------------------
@@ -193,43 +190,56 @@ def test_tree_str_renders_counters():
 
 
 # ----------------------------------------------------------------------
-# Profiling adapters over the tracer core
+# Stage tables: the --profile view over the trace
 # ----------------------------------------------------------------------
 
 
-def test_partition_profile_api_unchanged():
-    with hprof.collect() as prof:
-        active = hprof.active_profile()
-        assert active is prof
-        with prof.stage("coarsen"):
-            pass
-        prof.add("refine", 0.25)
-    assert hprof.active_profile() is None
-    d = prof.as_dict()
-    assert set(d) >= {"coarsen_s", "refine_s"} and d["refine_s"] == 0.25
-    assert "coarsen" in prof.stage_table()
+def test_stage_totals_sum_by_stage_name():
+    root = Span("root", t0=0.0, dur=4.0, counters={"partition.bisections": 1})
+    root.children += [
+        Span("partition.coarsen", t0=0.0, dur=0.5),
+        Span("partition.refine", t0=0.0, dur=1.0),
+        Span("other", t0=1.0, dur=1.0, children=[
+            Span("partition.refine", t0=1.0, dur=0.75,
+                 counters={"partition.bisections": 2, "plan.msgs": 9}),
+        ]),
+    ]
+    seconds, counters = stage_totals(root, "partition.")
+    assert list(seconds) == ["coarsen", "refine"]
+    assert seconds["refine"] == pytest.approx(1.75)
+    assert counters == {"bisections": 3}
+    text = stage_table(root, "partition.", label="phase")
+    assert text.splitlines()[0].startswith("phase")
+    assert "refine" in text and " 43.8%" in text  # 1.75 of 4.0 s
+    assert "total" in text and "bisections=3" in text
 
 
-def test_profiling_adapters_emit_spans():
+def test_partitioner_and_executors_emit_spans(small_partition):
+    from repro.hypergraph import PartitionConfig, column_net_model, partition_kway
+    from repro.simulate import run_single_phase
+
+    hg = column_net_model(small_partition.matrix)
     with obs.tracing() as tr:
-        with hprof.collect() as prof:
-            with prof.stage("coarsen"):
-                pass
-        with sprof.collect() as sp_prof:
-            with sprof.stage("expand"):
-                sprof.note_run()
+        with obs.span("root") as root:
+            partition_kway(hg, 4, PartitionConfig(seed=1))
+            run_single_phase(small_partition)
     names = {sp.name for sp in tr.walk()}
-    assert "partition.coarsen" in names
-    assert "simulate.expand" in names
-    assert prof.coarsen_s >= 0.0
-    assert sp_prof.runs == 1
-    assert tr.total_counters().get("simulate.runs") == 1
+    assert {"partition.coarsen", "partition.initial", "partition.refine",
+            "partition.kway"} <= names
+    assert {"simulate.precompute", "simulate.verify"} <= names
+    _, counters = stage_totals(root, "partition.")
+    assert counters["bisections"] == 3  # K=4 recursive bisection tree
+    assert counters["levels"] >= 0
+    assert tr.total_counters()["simulate.runs"] == 1
 
 
-def test_simulate_stage_noop_without_collectors():
-    # Neither a profile nor a trace open: stage() must not blow up.
-    with sprof.stage("expand"):
-        pass
+def test_simulate_stage_noop_without_collectors(small_partition):
+    # No trace open: the instrumented executors run unchanged.
+    from repro.simulate import run_single_phase
+
+    assert obs.active_trace() is None
+    run_single_phase(small_partition)
+    assert obs.active_trace() is None
 
 
 @pytest.fixture(scope="module")

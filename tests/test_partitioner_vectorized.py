@@ -1,15 +1,16 @@
 """The vectorized partitioner core: determinism, quality vs the seed
-implementation, kernel correctness, edge cases, and profiling hooks."""
+implementation, kernel correctness, edge cases, and the stage spans the
+partitioner records into the ``repro.obs`` trace."""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.engine import PartitionEngine
 from repro.generators.suite import table1_suite
 from repro.hypergraph import (
     Hypergraph,
     PartitionConfig,
-    PartitionProfile,
     column_net_model,
     connectivity_minus_one,
     partition_kway,
@@ -284,60 +285,43 @@ def test_kway_polish_never_increases_cost(seed):
     assert connectivity_minus_one(hg, polished) <= before
 
 
-def test_profile_records_kway_regression(medium_square):
-    """The profile's before/after connectivity pins the polish invariant."""
+def test_kway_polish_improves_recursive_bisection(medium_square):
+    """On a real recursive-bisection result the polish never raises the
+    connectivity-1 cost (the polish draws no random numbers, so the
+    unpolished run reproduces its input)."""
     hg = column_net_model(medium_square)
-    prof = PartitionProfile()
-    part = partition_kway(hg, 8, PartitionConfig(seed=2), profile=prof)
-    assert prof.cut_before_kway is not None
-    assert prof.cut_after_kway <= prof.cut_before_kway
-    assert prof.cut_after_kway == connectivity_minus_one(hg, part)
+    before = partition_kway(hg, 8, PartitionConfig(seed=2, kway_passes=0))
+    after = partition_kway(hg, 8, PartitionConfig(seed=2))
+    assert connectivity_minus_one(hg, after) <= connectivity_minus_one(hg, before)
 
 
 # ----------------------------------------------------------------------
-# Profiling hooks
+# Stage spans
 # ----------------------------------------------------------------------
 
 
 def test_partition_profile_stages(medium_square):
     hg = column_net_model(medium_square)
-    prof = PartitionProfile()
-    partition_kway(hg, 8, PartitionConfig(seed=1), profile=prof)
-    assert prof.total_s > 0
-    assert prof.bisections >= 7  # K=8 recursive bisection tree
-    for stage in ("coarsen_s", "initial_s", "refine_s", "kway_s"):
-        assert getattr(prof, stage) >= 0
-    d = prof.as_dict()
-    assert set(d) >= {"coarsen_s", "initial_s", "refine_s", "kway_s", "total_s"}
-    assert "connectivity-1" in prof.stage_table()
+    with obs.tracing():
+        with obs.span("root") as root:
+            partition_kway(hg, 8, PartitionConfig(seed=1))
+    seconds, counters = obs.stage_totals(root, "partition.")
+    assert list(seconds) == ["coarsen", "initial", "refine", "kway"]
+    assert all(s >= 0 for s in seconds.values())
+    assert sum(seconds.values()) <= root.dur
+    assert counters["bisections"] == 7  # K=8 recursive bisection tree
+    assert counters["levels"] >= 1
 
 
 def test_engine_plan_profile(small_square):
+    """A traced plan build nests the partitioner stages under its
+    ``engine.plan`` span; a memo hit rebuilds nothing, so it has none."""
     eng = PartitionEngine(small_square, seed=1)
-    plan = eng.plan("1d-rowwise", 4, profile=True)
-    assert plan.profile is not None
-    assert plan.profile.total_s > 0
-    # unprofiled plans stay unprofiled (separate memo entries)
-    plain = eng.plan("1d-rowwise", 4)
-    assert plain.profile is None
-    assert np.array_equal(
-        plain.partition.nnz_part, plan.partition.nnz_part
-    )
-
-
-def test_cli_partition_profile(capsys):
-    from repro.cli import main
-
-    rc = main(
-        [
-            "partition",
-            "--matrix", "trdheim",
-            "--scheme", "1d",
-            "--k", "4",
-            "--scale", "tiny",
-            "--profile",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "coarsen" in out and "refine" in out and "kway-polish" in out
+    with obs.tracing() as tr:
+        plan = eng.plan("1d-rowwise", 4)
+        again = eng.plan("1d-rowwise", 4)
+    built, hit = tr.spans
+    assert (built.name, hit.name) == ("engine.plan", "engine.plan")
+    assert "refine" in obs.stage_totals(built, "partition.")[0]
+    assert obs.stage_totals(hit, "partition.") == ({}, {})
+    assert again is plan

@@ -171,28 +171,29 @@ def test_bounded_matches_single_phase_volume_lower_bound(medium_square, rng):
 
 
 def test_profiling_collects_phase_timings(medium_square, rng):
-    from repro.simulate import profiling
+    from repro import obs
 
     p = random_s2d_partition(rng, medium_square, 4)
-    with profiling.collect() as prof:
-        run_single_phase(p)
-        run_two_phase(p)
-    assert prof.runs == 2
+    with obs.tracing():
+        with obs.span("root") as root:
+            run_single_phase(p)
+            run_two_phase(p)
+    seconds, counters = obs.stage_totals(root, "simulate.")
+    assert counters == {"runs": 2}
     assert {"precompute", "exchange", "compute", "verify", "expand", "fold"} <= set(
-        prof.stages
+        seconds
     )
-    assert prof.total_s > 0
-    assert "total" in prof.stage_table()
-    assert prof.as_dict()["runs"] == 2
+    assert 0 < sum(seconds.values()) <= root.dur
+    assert "total" in obs.stage_table(root, "simulate.", label="phase")
 
 
 def test_profiling_inactive_is_noop(medium_square, rng):
-    from repro.simulate import profiling
+    from repro import obs
 
-    assert profiling.active_profile() is None
+    assert obs.active_trace() is None
     p = random_s2d_partition(rng, medium_square, 4)
-    run_single_phase(p)  # must not fail without a collector
-    assert profiling.active_profile() is None
+    run_single_phase(p)  # must not fail without a trace
+    assert obs.active_trace() is None
 
 
 def test_identity_matrix_no_communication():
