@@ -97,18 +97,28 @@ def test_tracing_nests_and_restores():
             assert obs.active_trace() is outer
     assert [sp.name for sp in outer.walk()] == ["a"]
     assert [sp.name for sp in inner.walk()] == ["b"]
-    # An exception escaping the inner block restores the outer trace
-    # and its open-span stack, then the outermost exit restores None.
+
+
+def test_ambient_collector_save_restore():
+    # The ambient slot behind ``tracing``: an exception escaping an
+    # inner block restores the outer trace and its open-span stack,
+    # then the outermost exit restores None.
+    assert obs.active_trace() is None
     with obs.tracing() as outer:
+        assert obs.active_trace() is outer
         with obs.span("a") as a:
+            given = Trace()
             with pytest.raises(ValueError):
-                with obs.tracing():
+                with obs.tracing(given) as inner:
+                    assert inner is given and obs.active_trace() is given
                     with obs.span("b"):
                         raise ValueError("boom")
             assert obs.active_trace() is outer
             assert obs.current_span() is a
     assert obs.active_trace() is None
     assert obs.current_span() is None
+    assert [sp.name for sp in given.walk()] == ["b"]
+    assert [sp.name for sp in outer.walk()] == ["a"]
 
 
 def test_add_between_spans_hits_trace_counters():
